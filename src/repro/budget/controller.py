@@ -12,6 +12,10 @@ core may do next cycle.  The simulator's contract:
    (EU) and power-token consumption; the controller updates actuator
    state for the *next* cycle.  All reactions therefore see at least
    one cycle of latency, as a real controller would.
+3. A simulator may first offer the cycle to
+   :meth:`BudgetController.steady_end_cycle`, the controller's own
+   closed form of a quiet cycle, and call ``end_cycle`` only when it
+   declines.
 
 The *naive* policy of Section III.C splits the global budget equally:
 ``local = global / num_cores``, and a core is only throttled when the
@@ -24,11 +28,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..config import CMPConfig
-from ..power.dvfs import DVFSController
+from ..power.dvfs import DVFSController, steady_ticks
 from ..power.microarch import (
     ISSUE_TECHNIQUES,
     MicroarchThrottle,
     Technique,
+    advance_idle,
     select_technique,
 )
 from ..power.model import EnergyModel
@@ -65,7 +70,19 @@ class BudgetController:
         #: Optional :class:`repro.telemetry.TelemetrySession` hook.
         self._telemetry = None
 
-    def begin_cycle(self, now: int) -> None:  # pragma: no cover - trivial
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # The one place the steady path is decided: a subclass that
+        # overrides a per-cycle hook without restating the steady cycle
+        # would inherit a shortcut that skips its override, so it runs
+        # the full path every cycle instead.
+        own = vars(cls)
+        if "steady_end_cycle" not in own and (
+            "begin_cycle" in own or "end_cycle" in own
+        ):
+            cls.steady_end_cycle = _full_path
+
+    def begin_cycle(self, now: int) -> None:
         pass
 
     def end_cycle(
@@ -76,6 +93,30 @@ class BudgetController:
         sync_domain=None,
     ) -> None:
         pass
+
+    def steady_end_cycle(
+        self,
+        now: int,
+        tokens: List[Tokens],
+        powers: List[Watts],
+        total: Watts,
+        sync_domain=None,
+    ) -> bool:
+        """Apply this cycle's :meth:`end_cycle` in closed form if it is steady.
+
+        ``total`` is ``sum(powers)`` accumulated in core order.  Returns
+        True when the cycle was applied, leaving the controller exactly
+        as ``end_cycle`` would with ``v_scale`` unchanged.  Returns False,
+        having changed nothing, when the cycle needs the full
+        ``end_cycle``.  The base controller's ``end_cycle`` does nothing,
+        so every cycle is steady.
+        """
+        return True
+
+
+def _full_path(self, now, tokens, powers, total, sync_domain=None) -> bool:
+    """Steady path of a controller that has none: always decline."""
+    return False
 
 
 class LocalBudgetController(BudgetController):
@@ -109,10 +150,49 @@ class LocalBudgetController(BudgetController):
             if technique == "2level"
             else None
         )
-        # Window-averaged global-over verdict gating the DVFS level.
+        # Window-averaged global-over verdict gating the DVFS level.  The
+        # per-core DVFS windows start equal to this one and tick with it.
         self._win_energy = 0.0
         self._win_left = cfg.dvfs.window_cycles
         self._global_over_window = False
+        # Cached "no DVFS transition in flight, every throttle at NONE,
+        # no telemetry" verdict; None until recomputed after end_cycle.
+        self._quiet: Optional[bool] = None
+
+    def _window_step(self, total: Watts) -> Watts:
+        """Fold one cycle of CMP power into the global window; return the
+        DVFS budget (the local share while the last window averaged over
+        the global budget, unlimited otherwise)."""
+        self._win_energy += total
+        self._win_left -= 1
+        if self._win_left <= 0:
+            w = self.cfg.dvfs.window_cycles
+            self._global_over_window = (self._win_energy / w) > self.global_budget
+            self._win_energy = 0.0
+            self._win_left = w
+        return self.local_budget if self._global_over_window else float("inf")
+
+    def _steady(self) -> bool:
+        """May a cycle below the budget skip the actuator decisions?
+
+        Holds when no window rolls over this cycle, no DVFS transition
+        is in flight and every throttle is at NONE: then each DVFS tick
+        only spends credit, each throttle stays at NONE, and ``v_scale``,
+        ``fetch_allowed`` and ``issue_width`` keep the values the last
+        ``end_cycle`` wrote.
+        """
+        if self._win_left <= 1:
+            return False
+        quiet = self._quiet
+        if quiet is None:
+            throttles = self._throttles
+            quiet = self._quiet = (
+                self._telemetry is None
+                and not any(ctl.in_transition for ctl in self._dvfs)
+                and (throttles is None
+                     or all(th.technique == Technique.NONE for th in throttles))
+            )
+        return quiet
 
     def end_cycle(
         self,
@@ -128,16 +208,10 @@ class LocalBudgetController(BudgetController):
 
         # Track the same window the per-core DVFS controllers use, so the
         # coarse level only reacts when the *CMP* is over budget.
-        self._win_energy += total
-        self._win_left -= 1
-        if self._win_left <= 0:
-            w = self.cfg.dvfs.window_cycles
-            self._global_over_window = (self._win_energy / w) > self.global_budget
-            self._win_energy = 0.0
-            self._win_left = w
+        dvfs_budget = self._window_step(total)
+        self._quiet = None
 
         local = self.local_budget
-        dvfs_budget = local if self._global_over_window else float("inf")
         throttles = self._throttles
         dvfs = self._dvfs
         execute = self.execute
@@ -168,8 +242,25 @@ class LocalBudgetController(BudgetController):
                     self.throttled_cycles += 1
                 if telemetry is not None:
                     telemetry.on_throttle(i, int(th.technique))
-            if not execute[i]:
-                self.throttled_cycles += 0  # f-skips tracked by DVFS itself
+
+    def steady_end_cycle(
+        self,
+        now: int,
+        tokens: List[Tokens],
+        powers: List[Watts],
+        total: Watts,
+        sync_domain=None,
+    ) -> bool:
+        throttles = self._throttles
+        if not self._steady() or (
+            throttles is not None and total > self.global_budget
+        ):
+            return False
+        self._window_step(total)
+        steady_ticks(self._dvfs, powers, self.execute)
+        if throttles is not None:
+            advance_idle(throttles)
+        return True
 
     # -- introspection -----------------------------------------------------
 

@@ -31,7 +31,13 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from ..config import CMPConfig
-from ..power.microarch import ISSUE_TECHNIQUES, Technique, select_technique
+from ..power.dvfs import steady_ticks
+from ..power.microarch import (
+    ISSUE_TECHNIQUES,
+    Technique,
+    advance_idle,
+    select_technique,
+)
 from ..power.model import EnergyModel
 from ..units import Tokens, Watts
 from .controller import LocalBudgetController
@@ -131,19 +137,19 @@ class PTBLoadBalancer:
         cycles ago (wire + processing delay).  With ``latency == 0`` the
         balancer is combinational (used by the ablation benchmarks).
         """
-        self._pipe.append((list(spares), list(overs), list(priority or ())))
+        pipe = self._pipe
+        pipe.append((list(spares), list(overs), list(priority or ())))
         pending = self._pending
-        for i in range(self.num_cores):
-            pending[i] += spares[i]
-        if len(self._pipe) <= self.latency:
+        if len(pipe) <= self.latency:
+            for i, spare in enumerate(spares):
+                pending[i] += spare
             grants = [0] * self.num_cores
         else:
-            old_spares, old_overs, old_priority = self._pipe.popleft()
-            pool = 0
-            for i in range(self.num_cores):
-                delivered = old_spares[i]
-                pending[i] -= delivered
-                pool += delivered
+            old_spares, old_overs, old_priority = pipe.popleft()
+            # This cycle's pledges enter the pipe, the oldest leave it.
+            for i, spare in enumerate(spares):
+                pending[i] += spare - old_spares[i]
+            pool = sum(old_spares)
             grants = self.distribute(pool, old_overs, policy, old_priority)
             if self._sanitizer is not None:
                 self._sanitizer.check_distribution(pool, grants)
@@ -201,17 +207,15 @@ class PTBController(LocalBudgetController):
         )
         self.global_token_budget: Tokens = self.token_budget * cfg.num_cores
         self._grants: List[Tokens] = [0] * cfg.num_cores
+        # Per-cycle report buffers reused across cycles (PERF001: fresh
+        # lists per cycle otherwise).  ``_last_spares``/``_last_overs``
+        # hold the last cycle's reports — observers read them before the
+        # next cycle overwrites them, and the balancer snapshots its own
+        # copies into the pipe.
         self._last_spares: List[Tokens] = [0] * cfg.num_cores
         self._last_overs: List[Tokens] = [0] * cfg.num_cores
-        # Per-cycle scratch reused across end_cycle calls (PERF001: four
-        # fresh lists per cycle otherwise).  ``_last_spares``/``_last_overs``
-        # alias the report buffers after end_cycle — observers read them
-        # before the next cycle overwrites them, and the balancer snapshots
-        # its own copies into the pipe.
         self._zeros: List[Tokens] = [0] * cfg.num_cores
         self._pledged_buf: List[Tokens] = [0] * cfg.num_cores
-        self._spares_buf: List[Tokens] = [0] * cfg.num_cores
-        self._overs_buf: List[Tokens] = [0] * cfg.num_cores
         #: Per-core effective token budget of the last completed cycle:
         #: allotment + delivered grants - every pledge still in flight.
         self.effective_budgets: List[Tokens] = (
@@ -238,37 +242,21 @@ class PTBController(LocalBudgetController):
             self._current_policy = chosen
         return chosen
 
-    def end_cycle(
-        self,
-        now: int,
-        tokens: List[Tokens],
-        powers: List[Watts],
-        sync_domain=None,
-    ) -> None:
-        n = self.num_cores
+    def _balance(self, tokens: List[Tokens], sync_domain) -> None:
+        """Report this cycle's spares and requests to the balancer and
+        settle every core's budgets on the grants it returns.
+
+        Leaves the undelivered pledges (snapshot taken before this
+        cycle's reports enter the pipe) in ``_pledged_buf``, the reports
+        in ``_last_spares``/``_last_overs``, the grants delivered this
+        cycle in ``_grants``, and the updated ``effective_budgets`` and
+        ``budget_lines``.
+        """
         t_local = self.token_budget
-
-        # --- DVFS level 1, identical to the naive controller ----------------
-        total = 0.0
-        for p in powers:
-            total += p
-        self._win_energy += total
-        self._win_left -= 1
-        if self._win_left <= 0:
-            w = self.cfg.dvfs.window_cycles
-            self._global_over_window = (self._win_energy / w) > self.global_budget
-            self._win_energy = 0.0
-            self._win_left = w
-        dvfs_budget = (
-            self.local_budget if self._global_over_window else float("inf")
-        )
-
-        # --- token bookkeeping ------------------------------------------------
-        global_over = sum(tokens) > self.global_token_budget
         zeros = self._zeros
-        spares = self._spares_buf
+        spares = self._last_spares
         spares[:] = zeros
-        overs = self._overs_buf
+        overs = self._last_overs
         overs[:] = zeros
         grants = self._grants
         # Cores *approaching* their allotment request tokens too: the
@@ -279,30 +267,29 @@ class PTBController(LocalBudgetController):
         # A pledging core's usable allotment shrinks by *everything* it
         # has reported spare that the balancer has not delivered yet —
         # the pipe holds `latency` cycles of undelivered pledges, not
-        # just the last cycle's.  Snapshot before this cycle's reports
-        # enter the pipe.
+        # just the last cycle's.
         pledged = self._pledged_buf
         self.balancer.copy_pending(pledged)
-        for i in range(n):
-            usable = t_local - pledged[i] + grants[i]
-            if tokens[i] >= near_floor:
+        for i, tok in enumerate(tokens):
+            if tok >= near_floor:
                 # Power-hungry (at or approaching the allotment):
                 # request the gap between consumption and what is
                 # actually usable.  In-flight pledges shrink `usable`,
                 # so a ramping ex-donor asks for its own escrowed
                 # tokens back instead of spending them a second time
                 # while the balancer grants them to someone else.
-                request = tokens[i] - min(int(usable), near_floor)
+                usable = t_local - pledged[i] + grants[i]
+                request = tok - min(int(usable), near_floor)
                 if request > 0:
                     overs[i] = int(request)
-            elif tokens[i] < t_local:
+            elif tok < t_local:
                 # Spares flow whenever they exist (Figure 7's barrier
                 # example): a spinner's unused allotment continuously
                 # subsidises whoever is doing useful work.  Each cycle's
                 # spare is drawn from that cycle's fresh allotment, so
                 # pending pledges don't reduce the *flow* a steady
                 # spinner offers — they reduce what it may *spend*.
-                spare = int(t_local - tokens[i])
+                spare = int(t_local - tok)
                 if spare > 0:
                     spares[i] = spare
 
@@ -315,32 +302,17 @@ class PTBController(LocalBudgetController):
         priority = (
             sync_domain.contended_lock_holders()
             if sync_domain is not None
-            else []
+            else ()
         )
-        grants = self._grants = self.balancer.cycle(spares, overs, policy, priority)
-        # Last cycle's reports, kept for observability (tests, sanitizers).
-        self._last_spares = spares
-        self._last_overs = overs
+        grants = self._grants = self.balancer.cycle(
+            spares, overs, policy, priority
+        )
 
-        # --- actuators for next cycle -----------------------------------------
-        throttles = self._throttles
-        relax = self.relax
-        dvfs = self._dvfs
-        execute = self.execute
-        v_scales = self.v_scale
         effective_budgets = self.effective_budgets
         budget_lines = self.budget_lines
         local_budget = self.local_budget
         tokens_to_eu = self.energy.tokens_to_eu
-        telemetry = self._telemetry
-        fetch_allowed = self.fetch_allowed
-        issue_widths = self.issue_width
-        full_width = self.cfg.core.issue_width
-        for i in range(n):
-            ctl = dvfs[i]
-            execute[i] = ctl.tick(powers[i], dvfs_budget)
-            v_scales[i] = ctl.v_scale
-            th = throttles[i]
+        for i, g in enumerate(grants):
             # Control plane: a pledging donor runs under a restricted
             # budget until its tokens land (paper Section III.E.2).
             # Restriction covers the full round trip: every snapshot
@@ -350,12 +322,49 @@ class PTBController(LocalBudgetController):
             # stays restricted through the cycle its tokens are spent,
             # so sum(effective budgets) + pipe contents never exceeds
             # the global token budget.
-            eff_budget = t_local + grants[i] - (pledged[i] + spares[i])
-            effective_budgets[i] = eff_budget
+            effective_budgets[i] = t_local + g - (pledged[i] + spares[i])
             # Metric plane: the AoPB budget line rises with granted
             # tokens; a donor is simply under its local line, so the
             # pledge does not lower the line it is measured against.
-            budget_lines[i] = local_budget + tokens_to_eu(grants[i])
+            budget_lines[i] = local_budget + tokens_to_eu(g)
+
+    def end_cycle(
+        self,
+        now: int,
+        tokens: List[Tokens],
+        powers: List[Watts],
+        sync_domain=None,
+    ) -> None:
+        t_local = self.token_budget
+
+        # --- DVFS level 1, identical to the naive controller ----------------
+        total = 0.0
+        for p in powers:
+            total += p
+        dvfs_budget = self._window_step(total)
+        self._quiet = None
+
+        # --- token bookkeeping ------------------------------------------------
+        global_over = sum(tokens) > self.global_token_budget
+        self._balance(tokens, sync_domain)
+
+        # --- actuators for next cycle -----------------------------------------
+        throttles = self._throttles
+        relax = self.relax
+        dvfs = self._dvfs
+        execute = self.execute
+        v_scales = self.v_scale
+        effective_budgets = self.effective_budgets
+        telemetry = self._telemetry
+        fetch_allowed = self.fetch_allowed
+        issue_widths = self.issue_width
+        full_width = self.cfg.core.issue_width
+        for i in range(self.num_cores):
+            ctl = dvfs[i]
+            execute[i] = ctl.tick(powers[i], dvfs_budget)
+            v_scales[i] = ctl.v_scale
+            th = throttles[i]
+            eff_budget = effective_budgets[i]
             if global_over and eff_budget <= 0 and tokens[i] > 0:
                 # The core pledged its whole allotment away (or more)
                 # and is consuming anyway: in-flight tokens must not be
@@ -384,3 +393,21 @@ class PTBController(LocalBudgetController):
                 if th.technique in ISSUE_TECHNIQUES
                 else None
             )
+
+    def steady_end_cycle(
+        self,
+        now: int,
+        tokens: List[Tokens],
+        powers: List[Watts],
+        total: Watts,
+        sync_domain=None,
+    ) -> bool:
+        # Within the global token budget no core is throttled: only the
+        # reports, the balancer and the budgets it moves change.
+        if not self._steady() or sum(tokens) > self.global_token_budget:
+            return False
+        self._window_step(total)
+        self._balance(tokens, sync_domain)
+        steady_ticks(self._dvfs, powers, self.execute)
+        advance_idle(self._throttles)
+        return True

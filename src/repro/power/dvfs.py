@@ -17,7 +17,7 @@ slower of the two modes' frequencies while paying the higher voltage.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from ..config import DVFSConfig
 from ..units import Cycles, Joules, Watts
@@ -140,3 +140,28 @@ class DVFSController:
         self.mode = mode
         self.target_mode = mode
         self._transition_left = 0
+
+
+def steady_ticks(
+    ctls: List[DVFSController], powers: List[Watts], execute: List[bool]
+) -> None:
+    """:meth:`DVFSController.tick` of every controller in ``ctls``, for a
+    cycle in which none is mid-transition and no window rolls over.
+
+    Such a tick selects no mode: it only folds the core's power into the
+    observation window and spends frequency credit at the current
+    mode's ``f_scale``.  The caller guarantees both conditions;
+    ``execute[i]`` receives the result of tick ``i``.
+    """
+    i = 0
+    for ctl in ctls:
+        ctl._window_energy += _window_joules(powers[i])
+        ctl._window_left -= 1
+        credit = ctl.f_credit + ctl.modes[ctl.mode][1]
+        if credit >= 1.0:
+            ctl.f_credit = credit - 1.0
+            execute[i] = True
+        else:
+            ctl.f_credit = credit
+            execute[i] = False
+        i += 1

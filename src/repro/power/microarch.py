@@ -22,6 +22,7 @@ what makes the second level accurate where DVFS is not.
 from __future__ import annotations
 
 from enum import IntEnum
+from typing import List
 
 
 class Technique(IntEnum):
@@ -103,3 +104,10 @@ class MicroarchThrottle:
         if t == Technique.PIPELINE_GATE:
             return 0
         return full_width
+
+
+def advance_idle(throttles: List[MicroarchThrottle]) -> None:
+    """:meth:`MicroarchThrottle.tick` of throttles that all stay at
+    ``Technique.NONE``: only the duty-cycle phase moves."""
+    for th in throttles:
+        th._phase = (th._phase + 1) & 3

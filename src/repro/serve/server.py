@@ -38,8 +38,10 @@ twin of the chip trace.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import pickle
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -60,7 +62,7 @@ from .jobs import (
 from .tokens import TokenBalancer
 from .trace import ServeTelemetry, write_serve_trace
 
-__all__ = ["ServeConfig", "JobServer", "ServerThread"]
+__all__ = ["ServeConfig", "JobServer", "LoopStopped", "ServerThread"]
 
 #: Terminal jobs kept queryable by id before being forgotten.
 FINISHED_KEEP = 1024
@@ -616,6 +618,10 @@ class JobServer:
             self.registry.forget(self._finished.popleft())
 
 
+class LoopStopped(RuntimeError):
+    """A :meth:`ServerThread.call` the server loop ended without completing."""
+
+
 class ServerThread:
     """Run a :class:`JobServer` on a background thread's event loop.
 
@@ -666,11 +672,29 @@ class ServerThread:
         return self.server.address
 
     def call(self, coro, timeout: float = 60.0):
-        """Run ``coro`` on the server loop; return its result."""
-        assert self._loop is not None
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
-            timeout
-        )
+        """Run ``coro`` on the server loop; return its result.
+
+        A client's shutdown op can end the loop at any moment; a call the
+        loop will never complete raises :class:`LoopStopped` instead of
+        waiting out ``timeout``.
+        """
+        assert self._loop is not None and self._thread is not None
+        try:
+            fut = asyncio.run_coroutine_threadsafe(coro, self._loop)
+        except RuntimeError:  # the loop is already closed
+            coro.close()
+            raise LoopStopped("server loop has stopped") from None
+        deadline = time.monotonic() + timeout
+        while not fut.done():
+            if not self._thread.is_alive():
+                coro.close()
+                raise LoopStopped("server loop stopped before the call ran")
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"server call timed out after {timeout}s")
+            concurrent.futures.wait([fut], timeout=0.05)
+        if fut.cancelled():
+            raise LoopStopped("server loop stopped during the call")
+        return fut.result()
 
     def pause_dispatch(self) -> None:
         assert self.server is not None
@@ -684,12 +708,19 @@ class ServerThread:
         assert self.server is not None
         async def _status() -> Dict:
             return self.server.status_doc()
-        return self.call(_status())
+        try:
+            return self.call(_status())
+        except LoopStopped:
+            # No loop is left to mutate the server: read it directly.
+            return self.server.status_doc()
 
     def stop(self, drain: bool = True) -> None:
         if self.server is not None and self._loop is not None \
                 and self._loop.is_running():
-            self.call(self.server.shutdown(drain=drain), timeout=120.0)
+            try:
+                self.call(self.server.shutdown(drain=drain), timeout=120.0)
+            except LoopStopped:
+                pass  # a client's shutdown op got there first
         if self._thread is not None:
             self._thread.join(timeout=30)
 

@@ -36,22 +36,18 @@ Per core the engine runs a four-mode state machine:
   or release is already pending.  At exit the full state is
   reconstructed by shifting the certified snapshots forward in time.
 
-The controller plane is mirrored the same way: steady-state cycles of
-the known controllers (``none``/``dvfs``/``dfs``/``2level``/``ptb``)
-are computed from struct-of-arrays mirrors of the DVFS credit state,
-with the real ``end_cycle`` re-entered at window boundaries, DVFS
-transitions, throttle engagement or token/power overshoot.  Unknown
-controller subclasses run their real ``begin_cycle``/``end_cycle``
-every cycle.  See DESIGN.md section 10 for the legality arguments.
+The controller plane is offered to the controller itself: each cycle
+the engine calls its ``steady_end_cycle``, which applies a quiet cycle
+in closed form, and runs the real ``end_cycle`` only when that
+declines (window rollover, DVFS transition, engaged throttle, or the
+CMP over budget).  See DESIGN.md section 10 for the legality arguments.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Optional
 
-from ..budget.controller import BudgetController, LocalBudgetController
-from ..budget.ptb import PTBController
 from ..core.pipeline import _COMPLETE, _SPIN_PC
 from ..power.model import CycleEvents
 
@@ -223,86 +219,6 @@ class FastEngine:
             "cert_failures": 0, "controller_fallbacks": 0,
         }
 
-        # Controller twin kind: exact types only — any subclass with an
-        # overridden hook runs its real begin/end_cycle every cycle.
-        ctrl = sim.controller
-        tc = type(ctrl)
-        if tc is BudgetController:
-            self._ckind = 0          # no-op controller
-        elif tc is PTBController:
-            self._ckind = 2
-        elif tc is LocalBudgetController:
-            self._ckind = 1          # dvfs / dfs / 2level
-        else:
-            self._ckind = 3          # generic: real hooks every cycle
-        self._we: List[float] = [0.0] * n
-        self._fcred: List[float] = [0.0] * n
-        self._fscale: List[float] = [1.0] * n
-        self._wl = 0
-        self._win_e = 0.0
-        self._steady = True
-        self._all_none = True
-        self._th_elapsed = 0
-        if self._ckind in (1, 2):
-            self._resync_twin()
-
-    # ------------------------------------------------------------------ #
-    # controller twin                                                    #
-    # ------------------------------------------------------------------ #
-
-    def _resync_twin(self) -> None:
-        """Re-read every controller mirror after a real end_cycle."""
-        c = self.sim.controller
-        dvfs = c._dvfs
-        wl = c._win_left
-        for ctl in dvfs:
-            if ctl._window_left != wl:
-                # The per-core DVFS windows and the controller window are
-                # initialised to the same length and decrement together;
-                # if something desynchronised them the mirrors cannot
-                # represent the state — degrade to the generic path.
-                self._ckind = 3
-                return
-        self._wl = wl
-        self._win_e = c._win_energy
-        we = self._we
-        fcred = self._fcred
-        fscale = self._fscale
-        steady = True
-        for i, ctl in enumerate(dvfs):
-            we[i] = ctl._window_energy
-            fcred[i] = ctl.f_credit
-            fscale[i] = ctl.f_scale
-            if ctl._transition_left:
-                steady = False
-        self._steady = steady
-        throttles = c._throttles
-        self._all_none = throttles is None or all(
-            th.technique == 0 for th in throttles
-        )
-        self._th_elapsed = 0
-
-    def _twin_writeback(self) -> None:
-        """Flush the controller mirrors back into the real objects."""
-        c = self.sim.controller
-        wl = self._wl
-        c._win_left = wl
-        c._win_energy = self._win_e
-        we = self._we
-        fcred = self._fcred
-        for i, ctl in enumerate(c._dvfs):
-            ctl._window_left = wl
-            ctl._window_energy = we[i]
-            ctl.f_credit = fcred[i]
-        throttles = c._throttles
-        elapsed = self._th_elapsed
-        if throttles is not None and elapsed:
-            # Deferred MicroarchThrottle.tick: while the technique is
-            # NONE a tick only advances the 2-bit duty-cycle phase.
-            for th in throttles:
-                th._phase = (th._phase + elapsed) & 3
-        self._th_elapsed = 0
-
     # ------------------------------------------------------------------ #
     # SKIP: timed quiescence                                             #
     # ------------------------------------------------------------------ #
@@ -384,7 +300,7 @@ class FastEngine:
         if k <= 0:
             return
         self.stats["skip_cycles"] += k
-        self._phase_cycles[i][st.phase_idx] += k
+        self._cycles_by_phase[i][st.phase_idx] += k
         core = self.cores[i]
         core.executed_cycles += k
         if st.stall_flag:
@@ -622,7 +538,7 @@ class FastEngine:
         """
         core = self.cores[i]
         self.stats["replay_cycles"] += cyc - st.rs
-        self._phase_cycles[i][st.phase_idx] += cyc - st.rs
+        self._cycles_by_phase[i][st.phase_idx] += cyc - st.rs
         period = st.period
         a = st.base_cycle
         j = ((cyc - 1 - a - 1) % period) + 1
@@ -710,7 +626,7 @@ class FastEngine:
         tokens = [0] * n
         phase_cycles = [[0, 0, 0, 0] for _ in range(n)]
         # SKIP/REPLAY exits credit whole phase-count spans at once.
-        self._phase_cycles = phase_cycles
+        self._cycles_by_phase = phase_cycles
         spin_energy = 0.0
         total_energy = 0.0
         aopb = 0.0
@@ -727,23 +643,7 @@ class FastEngine:
         t_interval = thermal.interval
         begin_cycle = controller.begin_cycle
         end_cycle = controller.end_cycle
-
-        ckind = self._ckind
-        we = self._we
-        fcred = self._fcred
-        fscale = self._fscale
-        if ckind == 2:
-            t_local = controller.token_budget
-            near_floor = int(t_local * 0.85)
-            gtb = controller.global_token_budget
-            token_unit = energy.token_unit
-            local_b = controller.local_budget
-            balancer = controller.balancer
-            eff_budgets = controller.effective_budgets
-        has_throttles = (
-            ckind in (1, 2) and controller._throttles is not None
-        )
-        global_budget = controller.global_budget
+        steady_end_cycle = controller.steady_end_cycle
 
         done_total = 0
         for i in range(n):
@@ -761,8 +661,7 @@ class FastEngine:
 
         cycle = 0
         while cycle < max_cycles and done_total < n:
-            if ckind == 3:
-                begin_cycle(cycle)
+            begin_cycle(cycle)
             total = 0.0
             for i in range(n):
                 st = states[i]
@@ -877,12 +776,10 @@ class FastEngine:
                 powers[i] = p
                 ps = smoothed[i] * beta + p * alpha
                 smoothed[i] = ps
-                if ckind >= 2:
-                    over_floor = ps - unctrl
-                    tokens[i] = (
-                        int(over_floor * inv_token_unit)
-                        if over_floor > 0 else 0
-                    )
+                over_floor = ps - unctrl
+                tokens[i] = (
+                    int(over_floor * inv_token_unit) if over_floor > 0 else 0
+                )
                 total += p
                 d = ps - budget_lines[i]
                 if d > 0:
@@ -902,83 +799,12 @@ class FastEngine:
                 thermal._step()
                 pe += 1
 
-            if ckind == 0:
-                pass
-            elif ckind == 3:
+            if not steady_end_cycle(
+                cycle, tokens, smoothed, total_s, sync_domain
+            ):
+                self.stats["controller_fallbacks"] += 1
                 end_cycle(cycle, tokens, smoothed, sync_domain)
                 pe += 1
-            else:
-                fallback = (
-                    self._wl <= 1 or not self._steady or not self._all_none
-                )
-                if not fallback:
-                    if ckind == 2:
-                        fallback = sum(tokens) > gtb
-                    elif has_throttles:
-                        fallback = total_s > global_budget
-                if fallback:
-                    self.stats["controller_fallbacks"] += 1
-                    self._twin_writeback()
-                    end_cycle(cycle, tokens, smoothed, sync_domain)
-                    pe += 1
-                    self._resync_twin()
-                    ckind = self._ckind  # may degrade to generic
-                else:
-                    self._win_e += total_s
-                    if ckind == 2:
-                        pledged = controller._pledged_buf
-                        balancer.copy_pending(pledged)
-                        zeros = controller._zeros
-                        spares = controller._spares_buf
-                        spares[:] = zeros
-                        overs = controller._overs_buf
-                        overs[:] = zeros
-                        grants_old = controller._grants
-                        for i in range(n):
-                            tok = tokens[i]
-                            if tok >= near_floor:
-                                usable = t_local - pledged[i] + grants_old[i]
-                                request = tok - min(int(usable), near_floor)
-                                if request > 0:
-                                    overs[i] = int(request)
-                            elif tok < t_local:
-                                spare = int(t_local - tok)
-                                if spare > 0:
-                                    spares[i] = spare
-                        policy = controller._select_policy(sync_domain)
-                        priority = sync_domain.contended_lock_holders()
-                        grants = controller._grants = balancer.cycle(
-                            spares, overs, policy, priority
-                        )
-                        controller._last_spares = spares
-                        controller._last_overs = overs
-                        for i in range(n):
-                            fc = fcred[i] + fscale[i]
-                            if fc >= 1.0:
-                                fc -= 1.0
-                                execute[i] = True
-                            else:
-                                execute[i] = False
-                            fcred[i] = fc
-                            we[i] += smoothed[i]
-                            g = grants[i]
-                            eff_budgets[i] = (
-                                t_local + g - (pledged[i] + spares[i])
-                            )
-                            budget_lines[i] = local_b + g * token_unit
-                    else:
-                        for i in range(n):
-                            fc = fcred[i] + fscale[i]
-                            if fc >= 1.0:
-                                fc -= 1.0
-                                execute[i] = True
-                            else:
-                                execute[i] = False
-                            fcred[i] = fc
-                            we[i] += smoothed[i]
-                    if has_throttles:
-                        self._th_elapsed += 1
-                    self._wl -= 1
 
             if trace is not None:
                 trace.append(total)
@@ -993,8 +819,6 @@ class FastEngine:
                 self._exit_skip(st, i, cycle)
             elif st.mode == _REPLAY:
                 self._exit_replay(st, i, cycle)
-        if ckind in (1, 2):
-            self._twin_writeback()
 
         return sim._finish(
             max_cycles, cycle, done_total, total_energy, aopb, aopb_global,

@@ -21,10 +21,10 @@ Cycle boundaries come from the entries themselves: per-cycle entries
 take the cycle number as their first positional argument
 (``begin_cycle(cycle)``, ``step(cycle, ...)``); when the number
 increases, the watermark resets.  The fast engine
-(:mod:`repro.sim.engine`) legitimately runs whole cycles without any
-cycle-carrying entry (fast-forwarded cores call no ``step``, and its
-controller twin skips ``begin_cycle``/``end_cycle``), so validating it
-requires ``cycleless_rollover=True``: once the final serialized stage
+(:mod:`repro.sim.engine`) legitimately runs cycles that skip entries
+(fast-forwarded cores call no ``step``, and a controller's steady
+cycle replaces ``end_cycle``), so validating it requires
+``cycleless_rollover=True``: once the final serialized stage
 of a cycle has run, a cycle-less entry of an earlier stage is taken as
 the start of the next cycle rather than a violation — nothing may
 follow the last stage within one cycle, so the rollover reading is the

@@ -21,7 +21,9 @@ differently:
 
 Both run under every technique (and every PTB policy), plus a truncated
 run that stops mid-spin — the end-of-run flush must materialise
-fast-forwarded cores exactly as the reference left them.
+fast-forwarded cores exactly as the reference left them — and under a
+controller subclass that overrides only ``end_cycle``, which must get
+the full controller path rather than its parent's steady shortcut.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ import pickle
 
 import pytest
 
+from repro.budget import LocalBudgetController
 from repro.config import CMPConfig
 from repro.sim.cmp import CMPSimulator, run_simulation
+from repro.sim.engine import FastEngine
 from repro.trace.phases import (
     BarrierPhase,
     ComputePhase,
@@ -125,6 +129,44 @@ def test_fast_engine_byte_identical_truncated():
                                     "fast", max_cycles=900)
     assert ref_result.truncated and fast_result.truncated
     assert fast == ref
+
+
+class _SkipEverySeventh(LocalBudgetController):
+    """Overrides only ``end_cycle``: core 0 also skips every 7th cycle."""
+
+    def end_cycle(self, now, tokens, powers, sync_domain=None):
+        super().end_cycle(now, tokens, powers, sync_domain)
+        if now % 7 == 0:
+            self.execute[0] = False
+
+
+@pytest.mark.parametrize("make_program", [spin_heavy, compute_heavy],
+                         ids=["spin_heavy", "compute_heavy"])
+def test_subclass_overriding_end_cycle_gets_full_path(make_program):
+    digests = []
+    for engine in ("reference", "fast"):
+        sim = CMPSimulator(CMPConfig(num_cores=CORES, engine=engine),
+                           make_program(CORES), technique="dvfs")
+        sim.controller = _SkipEverySeventh(
+            sim.cfg, sim.energy, sim.global_budget, "dvfs")
+        result = sim.run(max_cycles=MAX_CYCLES)
+        assert result.completed
+        digests.append(
+            hashlib.sha256(pickle.dumps(result, protocol=4)).hexdigest())
+    assert digests[1] == digests[0]
+
+
+@pytest.mark.parametrize("technique,policy", [("ptb", "toall"),
+                                              ("dvfs", None)])
+def test_fast_engine_takes_steady_controller_path(technique, policy):
+    """Identical bytes would not reveal a steady path that always
+    declines; the fallback count does."""
+    sim = CMPSimulator(CMPConfig(num_cores=CORES), spin_heavy(CORES),
+                       technique=technique, ptb_policy=policy)
+    engine = FastEngine(sim)
+    result = engine.run(MAX_CYCLES)
+    assert result.completed
+    assert engine.stats["controller_fallbacks"] < 0.1 * result.cycles
 
 
 def test_telemetry_run_takes_reference_path(monkeypatch):

@@ -1,4 +1,4 @@
-"""Fast cycle engine: SoA accounting plane + idle/spin fast-forward.
+"""Fast cycle engine: idle/spin fast-forward over per-core ``_CoreState``.
 
 :class:`FastEngine` is a second execution path for
 :meth:`repro.sim.cmp.CMPSimulator.run`.  It produces ``SimResult``
@@ -56,13 +56,10 @@ __all__ = ["FastEngine", "engine_default", "resolve_engine"]
 #: Engine names accepted by :func:`resolve_engine` (besides ``auto``).
 ENGINES = ("reference", "fast")
 
-#: Environment variable consulted when ``cfg.engine == "auto"``.
-ENGINE_ENV = "REPRO_ENGINE"
-
 
 def engine_default() -> str:
     """Engine used for ``auto``: the ``REPRO_ENGINE`` env var or reference."""
-    # Literal name (= ENGINE_ENV) so the purity pass can resolve the read.
+    # Literal name so the purity pass can resolve the read.
     return os.environ.get("REPRO_ENGINE", "reference")
 
 

@@ -9,12 +9,14 @@ Subcommands:
   gated against ``.simcheck-baseline.json`` so CI fails only on
   regressions.
 * ``kernel PATH``   — hot-loop performance lint (PERF rules) plus the
-  per-core / cross-core / global field-coupling report that gates the
-  numpy SoA rewrite (``--report kernel-report.json``), gated against
+  hot-function report (``--report kernel-report.json``), gated against
   ``.simcheck-kernel-baseline.json``.
 * ``purity PATH``   — cache-key soundness (KEY rules) and worker-purity
   analysis (PURE rules) rooted at the experiment runner's cache, gated
   against ``.simcheck-purity-baseline.json``.
+* ``all PATH``      — run the four analysis passes above once with their
+  default baselines; write the kernel and purity reports and one merged
+  SARIF under ``--reports-dir`` (the single CI gate).
 * ``smoke``         — run a short 2-core simulation under every PTB
   policy with all runtime sanitizers enabled; exit non-zero on any
   :class:`SanitizerViolation` (CI gate for hook regressions).
@@ -259,6 +261,14 @@ def _prune_baseline(
     return 0
 
 
+def _write_report(tool: str, path: str, text: str) -> None:
+    """Write a ``--report`` file, creating missing parent directories."""
+    report_path = Path(path)
+    report_path.parent.mkdir(parents=True, exist_ok=True)
+    report_path.write_text(text)
+    print(f"simcheck {tool}: wrote report to {report_path}", file=sys.stderr)
+
+
 def _cmd_kernel(args: argparse.Namespace) -> int:
     from .kernel import analyze_kernel, render_json, render_table
 
@@ -280,10 +290,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         return 2
 
     if args.report:
-        Path(args.report).write_text(render_json(analysis.report))
-        print(
-            f"simcheck kernel: wrote report to {args.report}", file=sys.stderr
-        )
+        _write_report("kernel", args.report, render_json(analysis.report))
 
     handled, new, suppressed, stale = _gate_with_baseline(
         "kernel", args, analysis.findings
@@ -298,29 +305,14 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         _emit_findings("kernel", new, args.format)
     _report_baseline_noise("kernel", suppressed, stale)
 
-    status = 0
-    unknown = analysis.unknown_fields
-    if unknown:
-        for f in unknown:
-            print(
-                f"simcheck kernel: UNCLASSIFIED field {f.key} "
-                f"(written at {f.where}) — extend the coupling analysis",
-                file=sys.stderr,
-            )
-        print(
-            f"simcheck kernel: {len(unknown)} field(s) could not be "
-            "classified; the coupling report is incomplete",
-            file=sys.stderr,
-        )
-        status = 1
     if new:
         print(
             f"simcheck kernel: {len(new)} new PERF finding(s) — fix them "
             "or baseline with a justification",
             file=sys.stderr,
         )
-        status = 1
-    return status
+        return 1
+    return 0
 
 
 def _cmd_purity(args: argparse.Namespace) -> int:
@@ -344,11 +336,8 @@ def _cmd_purity(args: argparse.Namespace) -> int:
         return 2
 
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(analysis.report, indent=2) + "\n"
-        )
-        print(
-            f"simcheck purity: wrote report to {args.report}", file=sys.stderr
+        _write_report(
+            "purity", args.report, json.dumps(analysis.report, indent=2) + "\n"
         )
 
     handled, new, suppressed, stale = _gate_with_baseline(
@@ -371,143 +360,12 @@ def _cmd_purity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    from .schedule import analyze_schedule, render_json, render_table
-
-    root = Path(args.path)
-    if not root.is_dir():
-        print(f"simcheck schedule: not a directory: {root}", file=sys.stderr)
-        return 2
-
-    analysis = analyze_schedule(root)
-    if args.verbose:
-        for note in analysis.notes:
-            print(note, file=sys.stderr)
-    if analysis.report is None:
-        print(
-            "simcheck schedule: no per-cycle driver loop found; "
-            "nothing to analyze",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.report and not args.no_report:
-        report_path = Path(args.report)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(render_json(analysis.report))
-        print(
-            f"simcheck schedule: wrote report to {report_path}",
-            file=sys.stderr,
-        )
-
-    handled, new, suppressed, stale = _gate_with_baseline(
-        "schedule", args, analysis.findings
-    )
-    if handled is not None:
-        return handled
-    if args.format == "table":
-        print(render_table(analysis.report), end="")
-        for finding in new:
-            print(finding.render())
-    else:
-        _emit_findings("schedule", new, args.format)
-    _report_baseline_noise("schedule", suppressed, stale)
-
-    status = 0
-    unknown = analysis.unknown_types
-    if unknown:
-        for ft in unknown:
-            print(
-                f"simcheck schedule: UNKNOWN dtype for field {ft.key} "
-                f"({'; '.join(ft.evidence) or 'no evidence'}) — extend the "
-                "dtype inference",
-                file=sys.stderr,
-            )
-        print(
-            f"simcheck schedule: {len(unknown)} field(s) have no inferred "
-            "dtype; the kernel contract is incomplete",
-            file=sys.stderr,
-        )
-        status = 1
-    if new:
-        print(
-            f"simcheck schedule: {len(new)} new SCHED finding(s) — fix them "
-            "or baseline with a justification",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.validate:
-        violations = _validate_schedule(analysis.report, args)
-        if violations is None:
-            status = max(status, 2)
-        elif violations:
-            for msg in violations:
-                print(f"simcheck schedule: VALIDATE {msg}", file=sys.stderr)
-            print(
-                f"simcheck schedule: validation run violated the static "
-                f"schedule ({len(violations)} violation(s))",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print(
-                "simcheck schedule: validation run refines the static "
-                "schedule (validator clean)",
-                file=sys.stderr,
-            )
-    return status
-
-
-def _validate_schedule(report, args: argparse.Namespace):
-    """Replay a short reference run against the static schedule.
-
-    Returns the violation list, or None when the run itself failed.
-    """
-    # Imported lazily: static analysis must not drag the simulator in.
-    from ..config import CMPConfig
-    from ..sim.cmp import CMPSimulator
-    from ..sim.engine import resolve_engine
-    from .schedule import ScheduleValidator
-
-    engine = resolve_engine(args.validate_engine)
-    cfg = CMPConfig(num_cores=args.validate_cores).with_engine(engine)
-    program = _make_smoke_program(args.validate_cores, args.validate_work)
-    sim = CMPSimulator(cfg, program, technique="ptb", ptb_policy="dynamic")
-    # The fast engine runs fast-forwarded cycles without cycle-carrying
-    # entries; the validator needs the rollover reading for those.
-    validator = ScheduleValidator(
-        report, cycleless_rollover=(engine == "fast")
-    ).attach(sim)
-    if not validator.wrapped:
-        print(
-            "simcheck schedule: validator wrapped no stage entries; "
-            "the report does not match the simulator",
-            file=sys.stderr,
-        )
-        return None
-    try:
-        result = sim.run(args.validate_cycles)
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"simcheck schedule: validation run failed: {exc}",
-              file=sys.stderr)
-        return None
-    print(
-        f"simcheck schedule: validation run ({engine} engine) "
-        f"{result.cycles} cycles, "
-        f"{validator.wrapped} entries wrapped, "
-        f"{len(validator.calls)} calls recorded",
-        file=sys.stderr,
-    )
-    return validator.violations()
-
-
 #: Pass order and default baseline for ``simcheck all``.
 _ALL_BASELINES = (
     ("lint", ".simcheck-lint-baseline.json"),
     ("flow", ".simcheck-baseline.json"),
     ("kernel", ".simcheck-kernel-baseline.json"),
     ("purity", ".simcheck-purity-baseline.json"),
-    ("schedule", ".simcheck-schedule-baseline.json"),
 )
 
 
@@ -518,8 +376,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
     from .kernel import render_json as render_kernel_json
     from .purity import analyze_purity
     from .sarif import merge_sarif, sarif_document
-    from .schedule import analyze_schedule
-    from .schedule import render_json as render_schedule_json
 
     root = Path(args.path)
     if not root.is_dir():
@@ -570,13 +426,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
             render_kernel_json(kernel_analysis.report)
         )
         gate("kernel", kernel_analysis.findings)
-        if kernel_analysis.unknown_fields:
-            print(
-                f"simcheck kernel: {len(kernel_analysis.unknown_fields)} "
-                "unclassified field(s)",
-                file=sys.stderr,
-            )
-            status = max(status, 1)
 
     purity_analysis = analyze_purity(root)
     if purity_analysis.model is None:
@@ -587,23 +436,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
             json.dumps(purity_analysis.report, indent=2) + "\n"
         )
         gate("purity", purity_analysis.findings)
-
-    schedule_analysis = analyze_schedule(root)
-    if schedule_analysis.report is None:
-        print("simcheck schedule: no per-cycle driver loop found", file=sys.stderr)
-        status = max(status, 2)
-    else:
-        (reports_dir / "schedule-report.json").write_text(
-            render_schedule_json(schedule_analysis.report)
-        )
-        gate("schedule", schedule_analysis.findings)
-        if schedule_analysis.unknown_types:
-            print(
-                f"simcheck schedule: {len(schedule_analysis.unknown_types)} "
-                "field(s) with unknown dtype",
-                file=sys.stderr,
-            )
-            status = max(status, 1)
 
     sarif_path = reports_dir / "simcheck.sarif"
     sarif_path.write_text(
@@ -619,7 +451,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
 
 
 def _make_smoke_program(num_threads: int, work: int):
-    """Tiny lock+barrier reference program shared by smoke and validate."""
+    """Tiny lock+barrier program for the sanitized smoke run."""
     # Imported lazily: lint must not drag the simulator (and numpy) in.
     from ..trace.phases import (
         BarrierPhase,
@@ -734,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kernel = sub.add_parser(
         "kernel",
-        help="hot-loop PERF lint + per-core/cross-core coupling report",
+        help="hot-loop PERF lint + hot-function report",
     )
     kernel.add_argument(
         "path", help="package root to analyze (e.g. src/repro)"
@@ -747,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument(
         "--format", choices=("text", "json", "sarif", "table"),
         default="text",
-        help="finding output format; 'table' renders the coupling report",
+        help="finding output format; 'table' ranks the hot functions",
     )
     kernel.add_argument(
         "--verbose", action="store_true",
@@ -778,58 +610,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     purity.set_defaults(func=_cmd_purity)
 
-    schedule = sub.add_parser(
-        "schedule",
-        help="stage-schedule extraction + dtype inference (SoA kernel contract)",
-    )
-    schedule.add_argument(
-        "path", help="package root to analyze (e.g. src/repro)"
-    )
-    _add_baseline_args(schedule, ".simcheck-schedule-baseline.json")
-    schedule.add_argument(
-        "--report", metavar="FILE", default="reports/schedule-report.json",
-        help="write the machine-readable schedule report "
-        "(default: reports/schedule-report.json)",
-    )
-    schedule.add_argument(
-        "--no-report", action="store_true",
-        help="skip writing the schedule report file",
-    )
-    schedule.add_argument(
-        "--format", choices=("text", "json", "sarif", "table"),
-        default="text",
-        help="finding output format; 'table' renders the stage schedule",
-    )
-    schedule.add_argument(
-        "--validate", action="store_true",
-        help="replay a short reference run against the static schedule",
-    )
-    schedule.add_argument("--validate-cores", type=int, default=2)
-    schedule.add_argument("--validate-work", type=int, default=400)
-    schedule.add_argument("--validate-cycles", type=int, default=30_000)
-    schedule.add_argument(
-        "--validate-engine", default=None,
-        choices=["auto", "reference", "fast"],
-        help="cycle engine for the validation run (default: REPRO_ENGINE, "
-             "else reference); with 'fast' the validator checks the "
-             "engine's real-cycle stepping against the static schedule",
-    )
-    schedule.add_argument(
-        "--verbose", action="store_true",
-        help="print analysis notes (driver, phase/edge/stage counts)",
-    )
-    schedule.set_defaults(func=_cmd_schedule)
-
     allcmd = sub.add_parser(
         "all",
-        help="run lint+flow+kernel+purity+schedule with default baselines",
+        help="run lint+flow+kernel+purity with default baselines",
     )
     allcmd.add_argument(
         "path", help="package root to analyze (e.g. src/repro)"
     )
     allcmd.add_argument(
         "--reports-dir", default="reports",
-        help="directory for kernel/schedule reports and merged SARIF "
+        help="directory for kernel/purity reports and merged SARIF "
         "(default: reports)",
     )
     allcmd.add_argument(

@@ -112,8 +112,6 @@ class ClassInfo:
     attr_classes: Dict[str, str] = field(default_factory=dict)
     #: ``self.x`` -> unit name (repro.units vocabulary).
     attr_units: Dict[str, str] = field(default_factory=dict)
-    #: direct subclass names, filled by the index after all parsing.
-    subclass_names: List[str] = field(default_factory=list)
 
     @property
     def qualname(self) -> str:
@@ -183,7 +181,6 @@ class PackageIndex:
                     if unit:
                         mod.constant_units[node.target.id] = unit
         index._resolve_attr_types()
-        index._link_subclasses()
         return index
 
     # -- queries ------------------------------------------------------------
@@ -211,20 +208,6 @@ class PackageIndex:
             order.append(base)
             queue.extend(base.bases)
         return order
-
-    def concrete_subclasses(self, info: ClassInfo) -> List[ClassInfo]:
-        """The class and every transitive in-package subclass."""
-        out = [info]
-        seen = {info.name}
-        queue = list(info.subclass_names)
-        while queue:
-            sub = self.resolve_class(queue.pop(0))
-            if sub is None or sub.name in seen:
-                continue
-            seen.add(sub.name)
-            out.append(sub)
-            queue.extend(sub.subclass_names)
-        return out
 
     def resolve_method(
         self, info: ClassInfo, name: str
@@ -258,13 +241,6 @@ class PackageIndex:
         ]
 
     # -- internal -----------------------------------------------------------
-
-    def _link_subclasses(self) -> None:
-        for info in self.classes.values():
-            for base in info.bases:
-                parent = self.classes.get(base)
-                if parent is not None:
-                    parent.subclass_names.append(info.name)
 
     def _resolve_attr_types(self) -> None:
         """Second pass: resolve self-attribute classes and units.

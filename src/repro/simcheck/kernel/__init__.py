@@ -1,19 +1,14 @@
-"""``repro.simcheck.kernel`` — hot-loop perf lint + coupling report.
+"""``repro.simcheck.kernel`` — hot-loop perf lint + hot-function report.
 
 The third simcheck pass.  Where ``lint`` checks local idioms and
-``flow`` checks tick-order soundness, ``kernel`` answers the two
-questions ROADMAP item 1's 10–100× rewrite depends on:
+``flow`` checks tick-order soundness, ``kernel`` answers *where the
+interpreter burns cycles today*: PERF001–PERF006 over every function
+reachable from the driver's per-cycle sweep (:mod:`.perf`), with the
+hot-function ranking and allocation counts serialized as
+``kernel-report.json`` (:mod:`.report`).
 
-1. *Where does the interpreter burn cycles today?*  PERF001–PERF006
-   over every function reachable from the driver's per-cycle sweep
-   (:mod:`.perf`).
-2. *Which state can be batched across cores?*  The per-core /
-   cross-core / global field taxonomy and coupling edges
-   (:mod:`.coupling`), serialized as ``kernel-report.json``
-   (:mod:`.report`).
-
-Both halves share one driver discovery, one instance graph and one
-memoized effect analyzer (:mod:`.hotpath`).
+Both share one driver discovery, one instance graph and one memoized
+effect analyzer (:mod:`.hotpath`).
 """
 
 from __future__ import annotations
@@ -22,19 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..flow.effects import EffectAnalyzer
-from ..flow.hazards import find_driver
 from ..flow.model import PackageIndex
 from ..lint import Finding
-from .coupling import (
-    CROSS_CORE,
-    GLOBAL,
-    PER_CORE,
-    UNKNOWN,
-    FieldClass,
-    classify_fields,
-    extract_sweep_events,
-)
 from .hotpath import HotGraph, build_hot_graph
 from .perf import check_perf
 from .report import build_report, render_json, render_table
@@ -44,14 +28,9 @@ __all__ = [
     "analyze_kernel",
     "build_hot_graph",
     "check_perf",
-    "classify_fields",
     "build_report",
     "render_json",
     "render_table",
-    "PER_CORE",
-    "CROSS_CORE",
-    "GLOBAL",
-    "UNKNOWN",
 ]
 
 
@@ -60,42 +39,21 @@ class KernelAnalysis:
     """Everything one kernel run produces."""
 
     findings: List[Finding] = field(default_factory=list)
-    fields: List[FieldClass] = field(default_factory=list)
     report: Optional[Dict[str, object]] = None
     graph: Optional[HotGraph] = None
     notes: List[str] = field(default_factory=list)
 
-    @property
-    def unknown_fields(self) -> List[FieldClass]:
-        return [f for f in self.fields if f.classification == UNKNOWN]
-
 
 def analyze_kernel(root: Path) -> KernelAnalysis:
-    """Run both kernel halves over the package rooted at ``root``."""
+    """Run the PERF lint and build the report for the package at ``root``."""
     out = KernelAnalysis()
     index = PackageIndex.build(root)
     for relpath, error in index.parse_errors:
         out.notes.append(f"kernel: parse error in {relpath}: {error}")
 
-    driver = find_driver(index)
-    if driver is None:
-        out.notes.append(
-            "kernel: no per-cycle driver loop found "
-            "(looked for run/tick/advance with a top-level loop); "
-            "kernel analysis skipped"
-        )
-        return out
-    root_cls, fn, loop = driver
-
-    analyzer = EffectAnalyzer(index)
-    graph, notes = build_hot_graph(index, analyzer)
+    out.graph, notes = build_hot_graph(index)
     out.notes.extend(notes)
-    out.graph = graph
-    if graph is None:  # pragma: no cover - find_driver already succeeded
-        return out
-    out.findings = check_perf(graph)
-
-    state, _root = extract_sweep_events(index, root_cls, fn, loop, analyzer)
-    out.fields, edges = classify_fields(index, state)
-    out.report = build_report(graph, out.fields, edges, out.findings)
+    if out.graph is not None:
+        out.findings = check_perf(out.graph)
+        out.report = build_report(out.graph, out.findings)
     return out

@@ -1,6 +1,6 @@
 """Hot call-graph discovery rooted at the driver's per-cycle loop.
 
-The PERF rules and the coupling report both need the same ground truth:
+The PERF rules and the hot-function report need one ground truth:
 *which functions execute once (or more) per simulated cycle*.  The flow
 pass already knows how to find the driver (:func:`~repro.simcheck.flow.
 hazards.find_driver`) and how to resolve component method calls through
@@ -12,8 +12,8 @@ aliases but is executed once per run, not per cycle) and follows every
 resolvable component-method, property and module-function call
 transitively.  The observation plane — anything defined under
 ``simcheck/`` or ``telemetry/`` — is excluded: the zero-cost guard
-contract (PERF006) makes it removable, so it is not part of the cycle
-kernel being rewritten.
+contract (PERF006) makes it removable, so its cost is not the cycle
+kernel's.
 """
 
 from __future__ import annotations

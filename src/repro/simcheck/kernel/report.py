@@ -1,11 +1,10 @@
 """kernel-report.json construction and the human table view.
 
-The report is the gating artifact for the SoA rewrite: a field may move
-into the batched kernel only if it is listed here as ``per_core``, and
-every ``cross_core`` entry is a serialization point the new kernel must
-model explicitly.  Output is deterministic (sorted keys, sorted lists,
-no timestamps) so two runs over the same tree produce identical bytes
-and the file can live under version control or CI artifact diffing.
+The report records the per-cycle driver, every hot function with its
+per-cycle allocation count and callees, and the PERF finding count per
+rule.  Output is deterministic (sorted keys, sorted lists, no
+timestamps) so two runs over the same tree produce identical bytes and
+the file can live under version control or CI artifact diffing.
 """
 
 from __future__ import annotations
@@ -14,22 +13,15 @@ import json
 from typing import Dict, List
 
 from ..lint import Finding
-from .coupling import FieldClass
 from .hotpath import HotGraph
 from .perf import count_allocations
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def build_report(
-    graph: HotGraph,
-    fields: List[FieldClass],
-    edges: List[Dict[str, object]],
-    findings: List[Finding],
+    graph: HotGraph, findings: List[Finding]
 ) -> Dict[str, object]:
-    counts = {"per_core": 0, "cross_core": 0, "global": 0, "unknown": 0}
-    for f in fields:
-        counts[f.classification] = counts.get(f.classification, 0) + 1
     per_rule: Dict[str, int] = {}
     for finding in findings:
         per_rule[finding.rule_id] = per_rule.get(finding.rule_id, 0) + 1
@@ -38,7 +30,6 @@ def build_report(
         "driver": graph.driver,
         "summary": {
             "hot_functions": len(graph.functions),
-            "fields": counts,
             "perf_findings": dict(sorted(per_rule.items())),
         },
         "hot_functions": [
@@ -52,20 +43,6 @@ def build_report(
             }
             for hot in graph.sorted_functions()
         ],
-        "fields": [
-            {
-                "field": f.key,
-                "class": f.owner,
-                "attr": f.attr,
-                "classification": f.classification,
-                "reason": f.reason,
-                "writers": f.writers,
-                "readers": f.readers,
-                "where": f.where,
-            }
-            for f in fields
-        ],
-        "coupling_edges": edges,
     }
 
 
@@ -74,38 +51,12 @@ def render_json(report: Dict[str, object]) -> str:
 
 
 def render_table(report: Dict[str, object]) -> str:
-    """Human view: field taxonomy first, then the hot-function ranking."""
-    lines: List[str] = []
-    summary = report["summary"]
-    counts = summary["fields"]
-    lines.append(f"driver: {report['driver']}")
-    lines.append(
-        f"hot functions: {summary['hot_functions']}   "
-        f"fields: {counts['per_core']} per-core, "
-        f"{counts['cross_core']} cross-core, "
-        f"{counts['global']} global, {counts['unknown']} unknown"
-    )
-    lines.append("")
-
-    rows = [
-        (f["classification"], f["field"], f["reason"])
-        for f in report["fields"]
+    """Human view: the hot-function ranking by per-cycle allocations."""
+    lines: List[str] = [
+        f"driver: {report['driver']}",
+        f"hot functions: {report['summary']['hot_functions']}",
+        "",
     ]
-    if rows:
-        width_cls = max(len(r[0]) for r in rows)
-        width_key = max(len(r[1]) for r in rows)
-        header = (
-            f"{'CLASS':<{width_cls}}  {'FIELD':<{width_key}}  REASON"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        order = {"cross_core": 0, "per_core": 1, "global": 2, "unknown": -1}
-        for cls_kind, key, reason in sorted(
-            rows, key=lambda r: (order.get(r[0], 3), r[1])
-        ):
-            lines.append(f"{cls_kind:<{width_cls}}  {key:<{width_key}}  {reason}")
-        lines.append("")
-
     hot = sorted(
         report["hot_functions"],
         key=lambda h: (-h["allocations"], h["qualname"]),

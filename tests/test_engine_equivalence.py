@@ -16,8 +16,8 @@ differently:
   exercised (lock hand-off grants, barrier releases, invalidation
   epochs).
 * ``compute_heavy`` — balanced compute with large footprints: little
-  spinning, so the engine mostly runs real cycles and the SoA
-  accounting plane is what's under test.
+  spinning, so the engine mostly runs real cycles and its per-cycle
+  accounting is what's under test.
 
 Both run under every technique (and every PTB policy), plus a truncated
 run that stops mid-spin — the end-of-run flush must materialise

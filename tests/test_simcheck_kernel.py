@@ -1,6 +1,6 @@
-"""simcheck kernel pass: PERF rule fixtures, coupling taxonomy golden
-report, determinism, the real-tree gate, SARIF emission and baseline
-pruning."""
+"""simcheck kernel pass: PERF rule fixtures, the hot-function report
+and its determinism, the real-tree gate, SARIF emission, baseline
+pruning, ``--report`` paths and the combined ``simcheck all`` gate."""
 
 from __future__ import annotations
 
@@ -11,13 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.simcheck.kernel import (
-    CROSS_CORE,
-    GLOBAL,
-    PER_CORE,
-    analyze_kernel,
-    render_json,
-)
+from repro.simcheck.kernel import analyze_kernel, render_json
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -172,10 +166,10 @@ class TestPerfRules:
 
 
 # --------------------------------------------------------------------------- #
-# coupling taxonomy + golden report                                           #
+# hot-function report                                                         #
 # --------------------------------------------------------------------------- #
 
-COUPLING_SIM = {
+REPORT_SIM = {
     "sim/cmp.py": (
         "from ..core import Core\n"
         "from ..power import PowerModel\n"
@@ -217,46 +211,27 @@ COUPLING_SIM = {
 }
 
 
-class TestCoupling:
-    def test_taxonomy_on_fixture(self, tmp_path):
-        pkg = write_pkg(tmp_path, COUPLING_SIM)
-        ka = analyze_kernel(pkg)
-        assert ka.report is not None
-        assert not ka.unknown_fields
-        by_attr = {f.attr: f.classification for f in ka.fields}
-        assert by_attr["retired"] == PER_CORE
-        # `load` is written per-core but *gathered* by the driver's
-        # `[c.load for c in self.cores]` — a cross-core read coupling.
-        assert by_attr["load"] == CROSS_CORE
-        assert by_attr["per_core"] == CROSS_CORE
-        assert by_attr["total"] == GLOBAL
-        assert by_attr["cycle"] == GLOBAL
-        # cross-core fields surface as coupling edges
-        edge_fields = {
-            e["field"] for e in ka.report["coupling_edges"]
-        }
-        assert any("per_core" in f for f in edge_fields)
-
+class TestReport:
     def test_report_shape_and_driver(self, tmp_path):
-        pkg = write_pkg(tmp_path, COUPLING_SIM)
+        pkg = write_pkg(tmp_path, REPORT_SIM)
         ka = analyze_kernel(pkg)
         rep = ka.report
-        assert rep["version"] == 1
+        assert rep["version"] == 2
         assert rep["driver"] == "Simulator.run"
-        assert rep["summary"]["fields"]["unknown"] == 0
+        assert rep["summary"]["hot_functions"] == len(rep["hot_functions"])
         hot = {h["qualname"] for h in rep["hot_functions"]}
         assert "Simulator.run" in hot
         assert "Core.step" in hot
         assert "PowerModel.end_cycle" in hot
 
     def test_report_deterministic(self, tmp_path):
-        pkg = write_pkg(tmp_path, COUPLING_SIM)
+        pkg = write_pkg(tmp_path, REPORT_SIM)
         first = render_json(analyze_kernel(pkg).report)
         second = render_json(analyze_kernel(pkg).report)
         assert first == second
 
     def test_cli_report_bytes_deterministic(self, tmp_path):
-        pkg = write_pkg(tmp_path, COUPLING_SIM)
+        pkg = write_pkg(tmp_path, REPORT_SIM)
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
         ra = run_cli("kernel", str(pkg), "--report", str(out_a))
@@ -265,10 +240,11 @@ class TestCoupling:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_table_format(self, tmp_path):
-        pkg = write_pkg(tmp_path, COUPLING_SIM)
+        pkg = write_pkg(tmp_path, REPORT_SIM)
         res = run_cli("kernel", str(pkg), "--format", "table")
-        assert "Simulator.run" in res.stdout
-        assert "cross_core" in res.stdout
+        assert "driver: Simulator.run" in res.stdout
+        assert "HOT FUNCTION" in res.stdout
+        assert "PowerModel.end_cycle" in res.stdout
 
 
 # --------------------------------------------------------------------------- #
@@ -277,17 +253,12 @@ class TestCoupling:
 
 
 class TestRealTree:
-    def test_every_swept_field_classified(self):
+    def test_driver_is_reference_loop(self):
+        # The reference lock-step loop, not the engine dispatcher
+        # (CMPSimulator.run) or FastEngine's fast-forwarding loop.
         ka = analyze_kernel(SRC_REPRO)
         assert ka.report is not None
         assert ka.report["driver"] == "CMPSimulator._run_reference"
-        assert not ka.unknown_fields
-        by_field = {f.key: f.classification for f in ka.fields}
-        # PTB pledge/grant state must come out cross-core: it is exactly
-        # the coupling the SoA kernel rewrite has to preserve.
-        assert by_field["controller._grants"] == CROSS_CORE
-        assert by_field["controller.balancer._pipe"] == CROSS_CORE
-        assert by_field["controller.effective_budgets"] == CROSS_CORE
 
     def test_gate_clean_against_committed_baseline(self):
         assert KERNEL_BASELINE.exists()
@@ -423,3 +394,37 @@ class TestPruneBaseline:
                       "--prune-baseline")
         assert res.returncode == 0, res.stdout + res.stderr
         assert len(json.loads(bl.read_text())["findings"]) == n_live
+
+
+# --------------------------------------------------------------------------- #
+# CLI: --report paths and the combined gate                                   #
+# --------------------------------------------------------------------------- #
+
+
+class TestCLI:
+    @pytest.mark.parametrize("tool", ["kernel", "purity"])
+    def test_report_creates_missing_parent(self, tmp_path, tool):
+        # purity needs the runner's cache key, so both run on the real tree.
+        out = tmp_path / "new" / "k.json"
+        res = run_cli(
+            tool, str(SRC_REPRO), "--report", str(out),
+            "--baseline", str(REPO / f".simcheck-{tool}-baseline.json"),
+        )
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert json.loads(out.read_text())
+
+    def test_all_combined_gate(self, tmp_path):
+        reports = tmp_path / "reports"
+        res = run_cli("all", str(SRC_REPRO), "--reports-dir", str(reports))
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "4 passes gated" in res.stderr
+        for name in (
+            "kernel-report.json", "purity-report.json", "simcheck.sarif",
+        ):
+            assert (reports / name).is_file(), name
+        sarif = json.loads((reports / "simcheck.sarif").read_text())
+        names = [r["tool"]["driver"]["name"] for r in sarif["runs"]]
+        assert names == [
+            "simcheck-lint", "simcheck-flow", "simcheck-kernel",
+            "simcheck-purity",
+        ]
